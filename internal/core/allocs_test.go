@@ -5,6 +5,8 @@ import (
 
 	"subtraj/internal/core"
 	"subtraj/internal/testutil"
+	"subtraj/internal/traj"
+	"subtraj/internal/wed"
 )
 
 // searchAllocBudget is the allocation-regression guard for the pooled
@@ -21,11 +23,27 @@ func TestPooledSearchAllocs(t *testing.T) {
 	if testutil.RaceEnabled {
 		t.Skip("allocation counts change under -race")
 	}
-	env := testutil.NewEnv(41, 60, 24)
-	m := env.Models()[0] // Lev: no spatial/network substrate allocations
-	eng := core.NewEngineShards(m.DS, m.Costs, 1)
-	q := env.Query(m, 8)
-	tau := oracleTaus(m.Costs, m.DS, q)[1]
+	t.Run("grid", func(t *testing.T) {
+		env := testutil.NewEnv(41, 60, 24)
+		m := env.Models()[0] // Lev: no spatial/network substrate allocations
+		q := env.Query(m, 8)
+		assertSearchAllocs(t, core.NewEngineShards(m.DS, m.Costs, 1), q, oracleTaus(m.Costs, m.DS, q)[1])
+	})
+	// The high-fan-out corpus drives tries whose nodes hash their
+	// children: steady-state queries must reuse each trie's slot table,
+	// not allocate one per query. τ = 6.5 puts 7 of the 8 query positions
+	// in the τ-subsequence, up to 14 tries hashing; the pooled path measures
+	// ~29 allocs/op, and regrowing every slot table per query ~100.
+	t.Run("fan-out", func(t *testing.T) {
+		ds, q := fanoutCorpus(t, 72)
+		assertSearchAllocs(t, core.NewEngineShards(ds, wed.NewLev(), 1), q, 6.5)
+	})
+}
+
+// assertSearchAllocs warms the pools with a few sequential searches, then
+// holds their allocations per search to searchAllocBudget.
+func assertSearchAllocs(t *testing.T, eng *core.Engine, q []traj.Symbol, tau float64) {
+	t.Helper()
 	search := func() {
 		if _, _, err := eng.SearchQuery(core.Query{Q: q, Tau: tau, Parallelism: 1}); err != nil {
 			t.Fatal(err)

@@ -245,8 +245,8 @@ const (
 	// candidate can pile up arbitrarily many).
 	maxRetainedTries = 64
 	// maxRetainedArena bounds one trie's combined arena footprint
-	// (columns + nodes + column minima), in float64-sized units
-	// (512 KiB per trie).
+	// (columns + nodes + column minima + child slot table), in
+	// float64-sized units (512 KiB per trie).
 	maxRetainedArena = 64 << 10
 	// maxRetainedMatches bounds the chunk/out match buffers (~1.5 MiB).
 	maxRetainedMatches = 64 << 10
@@ -264,6 +264,13 @@ const (
 // scratch arenas for the next Get, and caps each retained piece so an
 // outlier query cannot pin its peak footprint in the pool.
 func Put(v *Verifier) {
+	v.release()
+	pool.Put(v)
+}
+
+// release is Put without the pool: it drops the query references and
+// trims the retained scratch to the pool-bloat caps.
+func (v *Verifier) release() {
 	v.costs, v.ds, v.q = nil, nil, nil
 	// subtrajlint:unordered-ok retired tries are fully reset before
 	// reuse, so free-list order cannot reach any computed value.
@@ -298,7 +305,6 @@ func Put(v *Verifier) {
 	if cap(v.efSuf) > maxRetainedCols {
 		v.efSuf = nil
 	}
-	pool.Put(v)
 }
 
 // Reset prepares v for a new query, retaining allocated scratch state:
